@@ -651,8 +651,7 @@ def _dead_root_read(ctx: ChaosContext) -> None:
         node = system.mesh.nodes[nid]
         for salt in salted:
             node.pointers.pop(salt, None)
-    for nid in sorted(system.network.nodes()):
-        system.probabilistic._nodes[nid].neighbor_filters.clear()
+    system.probabilistic.wipe_neighbor_filters()
     roots = sorted(set(system.router.roots_of(guid)))
     victims = [r for r in roots if r not in system.ring_nodes]
     for root in victims:

@@ -65,6 +65,13 @@ class ProbabilisticLocator:
     ``depth`` rounds after content changes for full convergence --
     exactly the soft-state maintenance cost the design trades for
     constant storage).
+
+    The *simulator* skips work that cannot change a bit: a round
+    recomputes only advertisements whose inputs changed and hands only
+    changed advertisements to neighbors.  The *modelled* protocol still
+    broadcasts every advertisement on every live edge each round, and
+    that full broadcast is what ``stats_refresh_bytes`` and the
+    ``bloom_refresh_*`` counters charge.
     """
 
     def __init__(
@@ -87,6 +94,19 @@ class ProbabilisticLocator:
             state.advertisement = AttenuatedBloomFilter(depth, width, hashes)
             self._nodes[node] = state
         self.stats_refresh_bytes = 0
+        #: sorted adjacency, read once: the topology is immutable for a run
+        self._adjacency = {
+            node: tuple(network.neighbors(node)) for node in self._nodes
+        }
+        self._ad_bytes = AttenuatedBloomFilter(depth, width, hashes).size_bytes()
+        #: nodes whose advertisement the next round must recompute
+        self._dirty: set[NodeId] = set()
+        #: when set, the next round pushes every advertisement, changed or not
+        self._push_all = False
+        #: down set the last round ran under; ``None`` makes the first
+        #: round recompute and push everything
+        self._down: frozenset[NodeId] | None = None
+        self._live_edges = 0
 
     # -- content management -------------------------------------------------
 
@@ -94,6 +114,7 @@ class ProbabilisticLocator:
         state = self._nodes[node]
         state.content.add(guid)
         state.local_filter.add(guid)
+        self._dirty.add(node)
 
     def remove_object(self, node: NodeId, guid: GUID) -> None:
         """Remove content; the local filter is rebuilt (no counting filters)."""
@@ -102,6 +123,7 @@ class ProbabilisticLocator:
         state.local_filter = BloomFilter(self.width, self.hashes)
         for g in state.content:
             state.local_filter.add(g)
+        self._dirty.add(node)
 
     def objects_at(self, node: NodeId) -> set[GUID]:
         return set(self._nodes[node].content)
@@ -112,39 +134,77 @@ class ProbabilisticLocator:
         """One synchronous advertisement round.
 
         Each node rebuilds its advertisement from neighbors' *previous*
-        advertisements and pushes it to every neighbor.  Byte cost is
-        tracked for overhead accounting.
+        advertisements and pushes it to every live neighbor.  The result
+        is exactly that, but the simulator only recomputes a node whose
+        local filter changed or whose neighbor's advertisement changed
+        last round (every node when the set of down nodes changed), and
+        only re-delivers advertisements whose bits changed.  Published
+        advertisements are never mutated, so neighbors share one object.
+        ``stats_refresh_bytes`` charges the full broadcast: one
+        advertisement per live directed edge.
         """
-        bytes_before = self.stats_refresh_bytes
-        new_ads: dict[NodeId, AttenuatedBloomFilter] = {}
-        for node, state in self._nodes.items():
-            neighbor_ads = [
-                self._nodes[n].advertisement
-                for n in self.network.neighbors(node)
-                if not self.network.is_down(n)
-            ]
-            new_ads[node] = AttenuatedBloomFilter.from_local_and_neighbors(
-                self.depth, self.width, self.hashes, state.local_filter, neighbor_ads
+        nodes = self._nodes
+        adjacency = self._adjacency
+        down = self.network.down_nodes()
+        if down != self._down:
+            # Liveness changed: any advertisement may change, and edges
+            # to revived nodes have missed pushes.
+            self._down = down
+            self._live_edges = sum(
+                1
+                for node, neighbors in adjacency.items()
+                if node not in down
+                for n in neighbors
+                if n not in down
             )
-        for node, ad in new_ads.items():
-            self._nodes[node].advertisement = ad
-            for neighbor in self.network.neighbors(node):
-                if self.network.is_down(node) or self.network.is_down(neighbor):
-                    continue
-                self._nodes[neighbor].neighbor_filters[node] = ad.copy()
-                self.stats_refresh_bytes += ad.size_bytes()
+            self._dirty = set(nodes)
+            self._push_all = True
+        dirty, self._dirty = self._dirty, set()
+        changed: dict[NodeId, AttenuatedBloomFilter] = {}
+        for node in dirty:
+            state = nodes[node]
+            ad = AttenuatedBloomFilter.from_local_and_neighbors(
+                self.depth,
+                self.width,
+                self.hashes,
+                state.local_filter,
+                [nodes[n].advertisement for n in adjacency[node] if n not in down],
+            )
+            if ad.levels != state.advertisement.levels:
+                changed[node] = ad
+        for node, ad in changed.items():
+            nodes[node].advertisement = ad
+            self._dirty.update(adjacency[node])
+        senders = nodes if self._push_all else changed
+        self._push_all = False
+        for node in senders:
+            if node in down:
+                continue
+            ad = nodes[node].advertisement
+            for neighbor in adjacency[node]:
+                if neighbor not in down:
+                    nodes[neighbor].neighbor_filters[node] = ad
+        sent = self._live_edges * self._ad_bytes
+        self.stats_refresh_bytes += sent
         tel = self.telemetry
         if tel.enabled:
             tel.count("bloom_refresh_rounds_total")
-            tel.count(
-                "bloom_refresh_bytes_total",
-                self.stats_refresh_bytes - bytes_before,
-            )
+            tel.count("bloom_refresh_bytes_total", sent)
 
     def converge(self) -> None:
         """Run enough rounds for full depth-D convergence."""
         for _ in range(self.depth + 1):
             self.refresh_round()
+
+    def wipe_neighbor_filters(self) -> None:
+        """Forget every received filter (a soft-state TTL-expiry storm).
+
+        Advertisements survive; the next round re-pushes them on every
+        live edge, exactly as a full broadcast would.
+        """
+        for state in self._nodes.values():
+            state.neighbor_filters.clear()
+        self._push_all = True
 
     # -- querying --------------------------------------------------------------
 

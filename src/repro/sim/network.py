@@ -355,6 +355,10 @@ class Network:
     def is_down(self, node: NodeId) -> bool:
         return node in self._down
 
+    def down_nodes(self) -> frozenset[NodeId]:
+        """Snapshot of the nodes currently down."""
+        return frozenset(self._down)
+
     def add_partition(self, side_a: set[NodeId], side_b: set[NodeId]) -> None:
         """Drop all traffic between the two sides until healed."""
         self._partitions.append((set(side_a), set(side_b)))

@@ -383,8 +383,7 @@ def _wipe_location_state(system, guid):
     for salted in system.router.salted_guids(guid):
         for nid in sorted(system.mesh.nodes):
             system.mesh.nodes[nid].pointers.pop(salted, None)
-    for nid in sorted(system.network.nodes()):
-        system.probabilistic._nodes[nid].neighbor_filters.clear()
+    system.probabilistic.wipe_neighbor_filters()
 
 
 class TestDetectorDrivenHealing:
