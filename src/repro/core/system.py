@@ -38,8 +38,7 @@ from repro.archival.repair import ArchiveIndex, RepairSweeper
 from repro.consistency.pbft import CommitCertificate, FaultMode, InnerRing
 from repro.consistency.secondary import SecondaryTier
 from repro.core.config import DeploymentConfig
-from repro.core.server import OceanStoreServer
-from repro.crypto.keys import make_principal
+from repro.core.server import OceanStoreServer, ServerIdentities
 from repro.data.objects import ArchivalReference
 from repro.data.update import DataObjectState, Update, UpdateOutcome
 from repro.introspect.confidence import ConfidenceEstimator
@@ -168,15 +167,16 @@ class OceanStoreSystem:
         self._rng = seeds.derive("system")
 
         # -- servers -------------------------------------------------------
-        identity_rng = seeds.derive("identities")
-        self.servers: dict[NodeId, OceanStoreServer] = {}
-        for node in sorted(self.network.nodes()):
-            principal = make_principal(
-                f"server-{node}", identity_rng, bits=self.config.key_bits
+        # Keys are minted on first use: only signing servers pay for keygen.
+        identities = ServerIdentities(
+            self.network.nodes(), seeds.derive("identities"), bits=self.config.key_bits
+        )
+        self.servers: dict[NodeId, OceanStoreServer] = {
+            node: OceanStoreServer(
+                network_id=node, identities=identities, telemetry=self.telemetry
             )
-            self.servers[node] = OceanStoreServer(
-                network_id=node, principal=principal, telemetry=self.telemetry
-            )
+            for node in sorted(self.network.nodes())
+        }
 
         # -- data location ---------------------------------------------------
         self.mesh = PlaxtonMesh(

@@ -23,13 +23,12 @@ that republishes pointers and reconstructs data on permanent departure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from repro.routing.plaxton import PlaxtonMesh, PlaxtonNode, RoutingError
+from repro.routing.plaxton import PlaxtonMesh, PlaxtonNode, RoutingError, nearest
 from repro.sim.network import NodeId
-from repro.util.ids import DIGIT_BITS, GUID
-
-DIGIT_BASE = 1 << DIGIT_BITS
+from repro.util.ids import GUID
 
 
 @dataclass
@@ -67,40 +66,18 @@ class MembershipManager:
         """
         node = self.mesh.add_server(network_id, node_id)
         height = self.mesh.table_height + 1
-        self._build_node_table(node, height)
+        groups = self.mesh.suffix_groups(height)
+        node.table = self.mesh.table_rows(node, range(height), groups)
         self._offer_to_others(node, height)
-        self._extend_heights(height)
+        self._extend_heights(height, groups)
         self.stats_inserted += 1
         return node
-
-    def _build_node_table(self, node: PlaxtonNode, height: int) -> None:
-        own_digits = node.node_id.digits()
-        table: list[list[list[NodeId]]] = []
-        for level in range(height):
-            row: list[list[NodeId]] = []
-            prefix = own_digits[:level]
-            for digit in range(DIGIT_BASE):
-                candidates = [
-                    other.network_id
-                    for other in self.mesh.nodes.values()
-                    if other.node_id.digits()[:level] == prefix
-                    and other.node_id.digit(level) == digit
-                ]
-                ranked = sorted(
-                    candidates,
-                    key=lambda nid: (
-                        self.mesh.network.latency_ms(node.network_id, nid),
-                        self.mesh.nodes[nid].node_id.value,
-                    ),
-                )
-                row.append(ranked[: PlaxtonNode.BACKUPS])
-            table.append(row)
-        node.table = table
 
     def _offer_to_others(self, new_node: PlaxtonNode, height: int) -> None:
         """Let existing nodes adopt the new node into matching entries."""
         new_digits = new_node.node_id.digits()
-        for other in self.mesh.nodes.values():
+        nodes = self.mesh.nodes
+        for other in nodes.values():
             if other is new_node:
                 continue
             other_digits = other.node_id.digits()
@@ -112,38 +89,23 @@ class MembershipManager:
                 entry = other.table[level][digit]
                 if new_node.network_id in entry:
                     continue
-                entry.append(new_node.network_id)
-                entry.sort(
-                    key=lambda nid: (
-                        self.mesh.network.latency_ms(other.network_id, nid),
-                        self.mesh.nodes[nid].node_id.value,
-                    )
+                by_id = sorted(
+                    entry + [new_node.network_id],
+                    key=lambda nid: nodes[nid].node_id.value,
                 )
-                del entry[PlaxtonNode.BACKUPS :]
+                entry[:] = nearest(
+                    by_id, functools.partial(self.mesh.network.latency_ms, other.network_id)
+                )
 
-    def _extend_heights(self, height: int) -> None:
+    def _extend_heights(
+        self, height: int, groups: list[dict[tuple[int, ...], list[int]]]
+    ) -> None:
         """Ensure every node's table has at least ``height`` levels."""
         for node in self.mesh.nodes.values():
-            while len(node.table) < height:
-                level = len(node.table)
-                prefix = node.node_id.digits()[:level]
-                row: list[list[NodeId]] = []
-                for digit in range(DIGIT_BASE):
-                    candidates = [
-                        other.network_id
-                        for other in self.mesh.nodes.values()
-                        if other.node_id.digits()[:level] == prefix
-                        and other.node_id.digit(level) == digit
-                    ]
-                    ranked = sorted(
-                        candidates,
-                        key=lambda nid: (
-                            self.mesh.network.latency_ms(node.network_id, nid),
-                            self.mesh.nodes[nid].node_id.value,
-                        ),
-                    )
-                    row.append(ranked[: PlaxtonNode.BACKUPS])
-                node.table.append(row)
+            if len(node.table) < height:
+                node.table += self.mesh.table_rows(
+                    node, range(len(node.table), height), groups
+                )
 
     # -- removal ----------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, TypeVar
 
 from repro.sim.network import Network, NodeId
 from repro.telemetry import coalesce
@@ -35,6 +36,8 @@ from repro.util.ids import DIGIT_BITS, GUID, GUID_BITS, GUID_DIGITS
 from repro.util.rng import random_guid_value
 
 DIGIT_BASE = 1 << DIGIT_BITS
+
+T = TypeVar("T")
 
 
 class RoutingError(RuntimeError):
@@ -105,6 +108,16 @@ class PlaxtonNode:
         return sum(len(v) for v in self.pointers.values())
 
 
+def nearest(candidates: Iterable[T], latency: Callable[[T], float]) -> list[T]:
+    """The :attr:`PlaxtonNode.BACKUPS` candidates of lowest ``latency``,
+    closest first: the mesh's one neighbour ranking.
+
+    Candidates must come in node-ID value order; the sort is stable, so
+    latency ties keep that order, i.e. break on node-ID value.
+    """
+    return sorted(candidates, key=latency)[: PlaxtonNode.BACKUPS]
+
+
 class PlaxtonMesh:
     """The global mesh: all nodes' tables, plus publish/locate/route.
 
@@ -173,41 +186,46 @@ class PlaxtonMesh:
     def build_tables(self) -> None:
         """(Re)build every node's neighbor table from scratch."""
         height = self.table_height + 1
-        # Group nodes by digit-suffix for each level.
-        suffix_groups: list[dict[tuple[int, ...], list[NodeId]]] = []
-        for level in range(height):
-            groups: dict[tuple[int, ...], list[NodeId]] = {}
-            for guid, nid in self._by_guid.items():
-                key = tuple(guid.digit(i) for i in range(level + 1))
-                groups.setdefault(key, []).append(nid)
-            suffix_groups.append(groups)
+        groups = self.suffix_groups(height)
         for node in self.nodes.values():
-            node.table = self._build_table_for(node, height, suffix_groups)
+            node.table = self.table_rows(node, range(height), groups)
 
-    def _build_table_for(
+    def suffix_groups(self, height: int) -> list[dict[tuple[int, ...], list[int]]]:
+        """Per level ``L < height``: the members' latency-table indices,
+        grouped by their lowest ``L + 1`` digits, in node-ID value order."""
+        index = self.network.latency_table.index
+        groups: list[dict[tuple[int, ...], list[int]]] = [{} for _ in range(height)]
+        for guid, nid in sorted(self._by_guid.items()):
+            digits = guid.digits()
+            for level, by_suffix in enumerate(groups):
+                by_suffix.setdefault(digits[: level + 1], []).append(index[nid])
+        return groups
+
+    def table_rows(
         self,
         node: PlaxtonNode,
-        height: int,
-        suffix_groups: list[dict[tuple[int, ...], list[NodeId]]],
+        levels: range,
+        groups: list[dict[tuple[int, ...], list[int]]],
     ) -> list[list[list[NodeId]]]:
-        table: list[list[list[NodeId]]] = []
+        """``node``'s neighbor-table rows for ``levels``: per digit, the
+        closest members extending its own lowest digits by that digit.
+
+        Reads the node's latency row directly, one ranking per entry.
+        """
+        table = self.network.latency_table
+        latency = table.rows[table.index[node.network_id]].__getitem__
+        nodes = table.nodes
         own_digits = node.node_id.digits()
-        for level in range(height):
-            row: list[list[NodeId]] = []
+        rows: list[list[list[NodeId]]] = []
+        for level in levels:
+            by_suffix = groups[level]
             prefix = own_digits[:level]
+            row: list[list[NodeId]] = []
             for digit in range(DIGIT_BASE):
-                key = prefix + (digit,)
-                candidates = suffix_groups[level].get(key, [])
-                ranked = sorted(
-                    candidates,
-                    key=lambda nid: (
-                        self.network.latency_ms(node.network_id, nid),
-                        self.nodes[nid].node_id.value,
-                    ),
-                )
-                row.append(ranked[: PlaxtonNode.BACKUPS])
-            table.append(row)
-        return table
+                group = by_suffix.get(prefix + (digit,))
+                row.append([nodes[i] for i in nearest(group, latency)] if group else [])
+            rows.append(row)
+        return rows
 
     # -- routing ----------------------------------------------------------------
 

@@ -8,6 +8,8 @@ routers, each with several stub domains of servers hanging off it.
 
 Messages are delivered by the :class:`Network` with latency equal to the
 shortest-path link latency between endpoints plus a per-message overhead.
+Shortest-path latencies come from one exact all-pairs table
+(:class:`LatencyTable`), built on first use.
 Byte accounting is tracked globally and per-link for the bandwidth
 experiments (Figure 6).
 """
@@ -15,11 +17,14 @@ experiments (Figure 6).
 from __future__ import annotations
 
 import hashlib
+import math
 import random
+from array import array
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, Iterable
 
 import networkx as nx
+import numpy as np
 
 from repro.sim.kernel import Kernel
 
@@ -237,6 +242,86 @@ def build_transit_stub_topology(
     return graph
 
 
+#: latency-table entry for a pair with no path
+_UNREACHABLE = math.inf
+
+
+@dataclass(frozen=True, slots=True)
+class LatencyTable:
+    """Exact all-pairs shortest-path latencies over a topology graph.
+
+    ``rows[index[src]][index[dst]]`` is the latency in ms from ``src`` to
+    ``dst`` (``inf`` when unreachable); ``nodes`` lists the graph's nodes
+    in index order.  Rows are ``array('d')``, so entries read back as
+    plain Python floats at 8 bytes each.
+
+    :meth:`build` relaxes all sources at once, Gauss-Seidel style: in
+    one sweep every node ``v``, in node order, takes ``min(dist[v],
+    dist[u] + w(u, v))`` over its neighbours ``u``, the whole vector of
+    sources in one numpy step; sweeps alternate forward and backward
+    until one changes nothing.  Every entry is always the left-to-right
+    float sum of some path's edge weights, and at the fixpoint no edge
+    can lower it; since float addition is monotone and the weights are
+    non-negative, that is the minimum of those sums over all paths --
+    exactly the value Dijkstra computes, bit for bit.
+    """
+
+    nodes: list[NodeId]
+    index: dict[NodeId, int]
+    rows: list[array]
+
+    #: sources relaxed together are capped so one block holds about this
+    #: many distances (8 MB of float64): larger graphs go in blocks
+    BLOCK_ENTRIES = 1 << 20
+
+    @classmethod
+    def build(cls, graph: nx.Graph) -> "LatencyTable":
+        """Relax every source over ``graph``; edges without ``latency_ms``
+        weigh 1, as in networkx."""
+        nodes = list(graph)
+        index = {node: i for i, node in enumerate(nodes)}
+        n = len(nodes)
+        adjacency: list[tuple[int, np.ndarray, np.ndarray]] = []
+        for v, node in enumerate(nodes):
+            links = graph.adj[node]
+            if not links:
+                continue
+            weights = np.array(
+                [data.get("latency_ms", 1) for data in links.values()], dtype=float
+            )
+            if (weights < 0).any():
+                raise ValueError(f"negative link latency at node {node}")
+            adjacency.append(
+                (v, np.array([index[u] for u in links], dtype=np.intp), weights[:, None])
+            )
+        rows: list[array] = []
+        block = max(1, cls.BLOCK_ENTRIES // max(n, 1))
+        for start in range(0, n, block):
+            width = min(block, n - start)
+            # dist[v, j]: latency from source start + j to node v
+            dist = np.full((n, width), _UNREACHABLE)
+            dist[np.arange(start, start + width), np.arange(width)] = 0.0
+            forward = True
+            while cls.sweep(dist, adjacency if forward else adjacency[::-1]):
+                forward = not forward
+            rows.extend(array("d", column.tobytes()) for column in dist.T.copy())
+        return cls(nodes, index, rows)
+
+    @staticmethod
+    def sweep(
+        dist: np.ndarray, adjacency: list[tuple[int, np.ndarray, np.ndarray]]
+    ) -> bool:
+        """One relaxation pass in ``adjacency`` order; True if any entry fell."""
+        changed = False
+        for v, neighbours, weights in adjacency:
+            best = (dist[neighbours] + weights).min(axis=0)
+            row = dist[v]
+            if (best < row).any():
+                np.minimum(row, best, out=row)
+                changed = True
+        return changed
+
+
 class Network:
     """Latency-accurate message delivery over a topology graph.
 
@@ -285,7 +370,7 @@ class Network:
         #: per-(src, dst, subsystem, phase) send-path memo:
         #: (LinkStats, PhaseStats, delay_ms | None, deliver label, sub, ph).
         #: The topology graph is immutable for the lifetime of a run (the
-        #: latency cache has no invalidation path either), so the one-way
+        #: latency table has no invalidation path either), so the one-way
         #: delay is a constant per ordered pair; the delay slot stays
         #: ``None`` until the first send that survives the drop checks, so
         #: a send to a down-but-unreachable node still drops instead of
@@ -300,7 +385,8 @@ class Network:
         #: ``decide(src, dst, now) -> FaultDecision`` method; see
         #: :mod:`repro.sim.faults.network`)
         self.fault_injector = None
-        self._latency_cache: dict[NodeId, dict[NodeId, float]] = {}
+        #: all-pairs latencies, built on the first latency lookup
+        self._latency_table: LatencyTable | None = None
         self._hops_cache: dict[NodeId, dict[NodeId, int]] = {}
         self.stats_total_messages = 0
         self.stats_total_bytes = 0
@@ -389,18 +475,27 @@ class Network:
 
     # -- latency model -----------------------------------------------------
 
+    @property
+    def latency_table(self) -> LatencyTable:
+        """The exact all-pairs latency table, built on first use."""
+        table = self._latency_table
+        if table is None:
+            table = self._latency_table = LatencyTable.build(self.graph)
+        return table
+
     def latency_ms(self, src: NodeId, dst: NodeId) -> float:
-        """Shortest-path latency between two nodes (ms), cached."""
+        """Shortest-path latency between two nodes (ms)."""
         if src == dst:
             return 0.0
-        if src not in self._latency_cache:
-            self._latency_cache[src] = nx.single_source_dijkstra_path_length(
-                self.graph, src, weight="latency_ms"
-            )
+        table = self._latency_table or self.latency_table
+        index = table.index
         try:
-            return self._latency_cache[src][dst]
+            latency = table.rows[index[src]][index[dst]]
         except KeyError:
-            raise ValueError(f"no path from {src} to {dst}") from None
+            latency = _UNREACHABLE
+        if latency == _UNREACHABLE:
+            raise ValueError(f"no path from {src} to {dst}")
+        return latency
 
     def hop_count(self, src: NodeId, dst: NodeId) -> int:
         """Shortest-path hop count (used as the Bloom-filter distance metric)."""
@@ -520,20 +615,7 @@ class Network:
                 tel.record("net", "drop", src=src, dst=dst, reason="unreachable")
             return
         if delay is None:
-            if src == dst:
-                delay = self.PER_MESSAGE_OVERHEAD_MS
-            else:
-                latencies = self._latency_cache.get(src)
-                if latencies is None:
-                    latencies = self._latency_cache[src] = (
-                        nx.single_source_dijkstra_path_length(
-                            self.graph, src, weight="latency_ms"
-                        )
-                    )
-                try:
-                    delay = latencies[dst] + self.PER_MESSAGE_OVERHEAD_MS
-                except KeyError:
-                    raise ValueError(f"no path from {src} to {dst}") from None
+            delay = self.latency_ms(src, dst) + self.PER_MESSAGE_OVERHEAD_MS
             self._route_cache[route_key] = (
                 link, phase_stats, delay, label, sub, ph
             )

@@ -3,6 +3,7 @@ location service."""
 
 import random
 
+import networkx as nx
 import pytest
 
 from repro.routing import (
@@ -70,6 +71,39 @@ class TestMeshConstruction:
         existing = next(iter(mesh.nodes.values()))
         with pytest.raises(ValueError):
             mesh.add_server(all_nodes[-1], existing.node_id)
+
+    def test_latency_ties_break_on_node_id_value(self):
+        # Equal-latency links everywhere, so nearly every ranking is a tie;
+        # static build and incremental insert must both order entries by
+        # (latency, node-ID value).
+        graph = nx.star_graph(40)
+        nx.set_edge_attributes(graph, 2.0, "latency_ms")
+        network = Network(Kernel(), graph)
+        mesh = PlaxtonMesh(network, random.Random(3))
+        mesh.populate(list(range(36)))
+        manager = MembershipManager(mesh)
+        for nid in range(36, 41):
+            manager.insert(nid)
+
+        def reference(node, level, digit):
+            prefix = node.node_id.digits()[:level] + (digit,)
+            candidates = [
+                other.network_id
+                for other in mesh.nodes.values()
+                if other.node_id.digits()[: level + 1] == prefix
+            ]
+            candidates.sort(
+                key=lambda nid: (
+                    network.latency_ms(node.network_id, nid),
+                    mesh.nodes[nid].node_id.value,
+                )
+            )
+            return candidates[:3]
+
+        for node in mesh.nodes.values():
+            for level in range(len(node.table)):
+                for digit in range(16):
+                    assert node.entry(level, digit) == reference(node, level, digit)
 
 
 class TestRouting:
